@@ -1,9 +1,16 @@
 """Exact-arithmetic linear programming and small-polytope vertex enumeration.
 
-Dense two-phase primal simplex over rationals. Bland's rule (smallest-index
-entering column, smallest basic index on ratio ties) makes termination
-unconditional; every returned point is a basic feasible solution and every
-optimum is exact. Built for desk-scale programs, not for sparsity or speed.
+Dense two-phase primal simplex over rationals. The tableau is an
+integer-preserving one: Python integers over one positive common
+denominator, pivoted fraction-free (Edmonds 1967, Bareiss 1968), with
+Fraction only where coefficients come in and points go out. Bland's rule
+(smallest-index entering column, smallest basic index on ratio ties) makes
+termination unconditional; every returned point is a basic feasible
+solution and every optimum is exact. Built for desk-scale programs, not
+for sparsity.
+
+Vertex enumeration solves its square systems in plain Fraction arithmetic
+and serves as the independent oracle the simplex is tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import ModelError, ScalarLike, as_scalar
@@ -160,64 +168,84 @@ def count_solves() -> Iterator[SolveCounter]:
 
 
 # -- simplex kernel ---------------------------------------------------------
+#
+# The tableau is kept as Python integers over one positive common
+# denominator d. A pivot on p = rows[r][c] sets every other row to
+# (row * p - row[c] * rows[r]) // d, keeps the pivot row and sets d to p
+# (Edmonds 1967; Bareiss 1968). By Sylvester's identity the division is
+# exact, so no gcd runs inside the loop.
+#
+# Each constraint row is scaled to integers by the lcm s_i of its own
+# denominators while its artificial column stays the unit vector, so
+# artificial i stands for s_i times the artificial of the exact row. Phase
+# one gives it weight 1/s_i, which keeps the phase-one objective, and so
+# every reduced cost, that of the Fraction tableau. rows / d is then the
+# Fraction tableau, except that a row whose artificial is basic is s_i times
+# it, which changes no sign and no ratio: Bland's rule makes the same
+# choices and every point is the same. Artificial columns never enter and
+# are never read, so they are not stored; their basis indices
+# art_start + i still take part in Bland's tie-break.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(rows: list[list[Fraction]], cost: list[Fraction], r: int, c: int) -> None:
-    row = rows[r]
-    piv = row[c]
-    if piv != 1:
-        inv = _ONE / piv
-        rows[r] = row = [v * inv for v in row]
-    for other in rows:
-        if other is row:
-            continue
-        f = other[c]
-        if f:
-            for k, v in enumerate(row):
-                if v:
-                    other[k] -= f * v
+def _pivot(rows: list[list[int]], cost: list[int], r: int, c: int, d: int) -> int:
+    """Fraction-free pivot on rows[r][c]; returns the new common denominator."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(v * p - f * w) // d for v, w in zip(row, prow)]
     f = cost[c]
-    if f:
-        for k, v in enumerate(row):
-            if v:
-                cost[k] -= f * v
+    cost[:] = [(v * p - f * w) // d for v, w in zip(cost, prow)]
+    return p
 
 
 def _run_simplex(
-    rows: list[list[Fraction]],
-    cost: list[Fraction],
+    rows: list[list[int]],
+    cost: list[int],
     basis: list[int],
     ncols: int,
-) -> str:
-    """Minimize with Bland's rule; cost holds reduced costs, cost[-1] = -value."""
+    d: int,
+) -> tuple[str, int]:
+    """Minimize with Bland's rule; returns the status and the final denominator.
+
+    cost holds the reduced costs times a positive constant, cost[-1] = -value
+    on the same scale. The entering test (first negative reduced cost) and
+    the ratio test (rhs_i / a_i by cross-multiplication, ties to the smaller
+    basic index) see only signs and ratios, which d > 0 leaves as they are
+    in the exact tableau.
+    """
     while True:
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
-            return "optimal"
-        leave = None
-        best: tuple[Fraction, int] | None = None
+            return "optimal", d
+        leave = -1
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                key = (row[-1] / a, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
-        if leave is None:
-            return "unbounded"
-        _pivot(rows, cost, leave, enter)
+                if leave >= 0:
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, num, den = i, row[-1], a
+        if leave < 0:
+            return "unbounded", d
+        d = _pivot(rows, cost, leave, enter, d)
         basis[leave] = enter
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of the program, or Infeasible/Unbounded.
 
-    Two-phase simplex: phase one minimizes total artificial infeasibility,
-    phase two the actual objective. The returned point satisfies every
-    constraint exactly and the value is objective . point, no tolerance.
+    Two-phase simplex with Bland's rule: phase one minimizes total
+    artificial infeasibility, phase two the actual objective. The tableau
+    is integer over one common denominator and pivots are fraction-free;
+    Fraction is used only to read the coefficients and to return the
+    point. The returned point satisfies every constraint exactly and the
+    value is objective . point, no tolerance.
     """
     for counter in _counters.get():
         counter.solves += 1
@@ -230,41 +258,43 @@ def solve(lp: LinearProgram) -> LpOutcome:
             col_var.append((j, -1))
     n_struct = len(col_var)
 
-    # equality rows with slack/surplus columns, then rhs >= 0 normalization
+    # equality rows with slack/surplus columns, scaled to integers with
+    # rhs >= 0; the artificial columns are implicit
     m = len(lp.constraints)
-    slack_of_row = [k for k, c in enumerate(lp.constraints) if c.relation != EQ]
-    n_slack = len(slack_of_row)
-    width = n_struct + n_slack + m + 1  # + artificials + rhs
+    n_slack = sum(1 for c in lp.constraints if c.relation != EQ)
     art_start = n_struct + n_slack
+    width = art_start + 1  # + rhs
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    scales: list[int] = []
     slack_idx = 0
-    for i, con in enumerate(lp.constraints):
-        row = [_ZERO] * width
-        for k, (j, sign) in enumerate(col_var):
-            if con.coeffs[j]:
-                row[k] = sign * con.coeffs[j]
+    for con in lp.constraints:
+        values = con.coeffs + (con.rhs,)
+        scale = lcm(*(v.denominator for v in values))
+        scales.append(scale)
+        if con.rhs < 0:
+            scale = -scale
+        ints = [v.numerator * scale // v.denominator for v in values]
+        row = [sign * ints[j] for j, sign in col_var] + [0] * n_slack + [ints[-1]]
         if con.relation != EQ:
-            row[n_struct + slack_idx] = _ONE if con.relation == LE else -_ONE
+            row[n_struct + slack_idx] = scale if con.relation == LE else -scale
             slack_idx += 1
-        row[-1] = con.rhs
-        if row[-1] < 0:
-            row = [-v for v in row]
-        row[art_start + i] = _ONE
         rows.append(row)
 
     basis = [art_start + i for i in range(m)]
+    d = 1
 
-    # phase one: minimize the artificial total
-    cost = [_ZERO] * width
-    for j in range(art_start):
-        cost[j] = -sum(row[j] for row in rows)
-    cost[-1] = -sum(row[-1] for row in rows)
-    _run_simplex(rows, cost, basis, art_start)
-    if -cost[-1] != 0:
+    # phase one: minimize the artificial total, artificial i weighted 1/s_i
+    total = lcm(*scales)
+    weights = [total // s for s in scales]
+    cost = [-sum(w * row[j] for w, row in zip(weights, rows)) for j in range(width)]
+    _, d = _run_simplex(rows, cost, basis, art_start, d)
+    if cost[-1] != 0:
         return INFEASIBLE
 
-    # drive leftover artificials out of the basis; all-zero rows are redundant
+    # drive leftover artificials out of the basis; all-zero rows are
+    # redundant. A negative pivot is made positive by negating its row
+    # (the row's rhs is 0), which keeps d > 0.
     drop: list[int] = []
     for i in range(m):
         if basis[i] >= art_start:
@@ -274,43 +304,38 @@ def solve(lp: LinearProgram) -> LpOutcome:
             if pivot_col is None:
                 drop.append(i)
             else:
-                _pivot(rows, cost, i, pivot_col)
+                if rows[i][pivot_col] < 0:
+                    rows[i] = [-v for v in rows[i]]
+                d = _pivot(rows, cost, i, pivot_col, d)
                 basis[i] = pivot_col
     for i in reversed(drop):
         del rows[i]
         del basis[i]
 
-    # phase two on the real objective (internally minimized)
-    struct_cost = [
-        (lp.objective[j] * sign if lp.sense == "min" else -lp.objective[j] * sign)
-        for j, sign in col_var
-    ]
-    cost = [_ZERO] * width
-    for j in range(art_start):
-        cost[j] = struct_cost[j] if j < n_struct else _ZERO
-    value = _ZERO
-    for i, b in enumerate(basis):
-        cb = struct_cost[b] if b < n_struct else _ZERO
+    # phase two on the real objective (internally minimized), scaled to
+    # integers by the lcm of its denominators
+    scale = lcm(*(c.denominator for c in lp.objective))
+    if lp.sense == "max":
+        scale = -scale
+    ints = [c.numerator * scale // c.denominator for c in lp.objective]
+    struct_cost = [sign * ints[j] for j, sign in col_var]
+    cost = [d * c for c in struct_cost] + [0] * (n_slack + 1)
+    for row, b in zip(rows, basis):
+        cb = struct_cost[b] if b < n_struct else 0
         if cb:
-            value += cb * rows[i][-1]
-            for j in range(art_start):
-                if rows[i][j]:
-                    cost[j] -= cb * rows[i][j]
-    cost[-1] = -value
-    status = _run_simplex(rows, cost, basis, art_start)
+            cost = [v - cb * w for v, w in zip(cost, row)]
+    status, d = _run_simplex(rows, cost, basis, art_start, d)
     if status == "unbounded":
         return UNBOUNDED
 
-    x_std = [_ZERO] * art_start
-    for i, b in enumerate(basis):
-        if b < art_start:
-            x_std[b] = rows[i][-1]
-    point = [_ZERO] * lp.n_vars
-    for k, (j, sign) in enumerate(col_var):
-        if x_std[k]:
-            point[j] += sign * x_std[k]
+    numerators = [0] * lp.n_vars
+    for row, b in zip(rows, basis):
+        if b < n_struct:
+            j, sign = col_var[b]
+            numerators[j] += sign * row[-1]
+    point = tuple(Fraction(v, d) for v in numerators)
     opt_value = sum((c * x for c, x in zip(lp.objective, point)), _ZERO)
-    return LpOutcome("optimal", opt_value, tuple(point))
+    return LpOutcome("optimal", opt_value, point)
 
 
 # -- duality ----------------------------------------------------------------

@@ -240,9 +240,11 @@ def _extension(model: LowerPrevisionModel, gamble: Gamble, sense: str) -> Extens
     out = solve(lp)
     if out.status == "infeasible":
         certificate = sure_loss_certificate(model)
-        assert certificate is not None
+        if certificate is None:
+            raise ModelError("credal set is empty but no sure-loss certificate was found")
         raise SureLossError(certificate)
-    assert out.is_optimal  # the simplex is bounded, so no unbounded outcome
+    if not out.is_optimal:  # the simplex is bounded, so this is a solver fault
+        raise ModelError(f"natural extension program is {out.status}")
     return ExtensionValue(out.value, out.point)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -362,7 +363,8 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
 
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 # What the wrapper that pip writes for a console script does.
 WRAPPER = """\
@@ -415,3 +417,38 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout == CHECK_COIN
+
+
+class TestOptimizedInterpreter:
+    """``python -O`` strips every ``assert``; no answer may depend on one."""
+
+    def run_optimized(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "credal.cli", *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+
+    def test_all_criteria_with_witnesses(self, capsys):
+        args = ["optimal", COIN, "--criterion", "all", "--witness"]
+        proc = self.run_optimized(args)
+        assert proc.returncode == 0, proc.stderr
+        without_witnesses = "".join(
+            line
+            for line in proc.stdout.splitlines(keepends=True)
+            if not line.startswith("  witness ")
+        )
+        assert without_witnesses == OPTIMAL_ALL
+        assert cli.run(args) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_sure_loss_check(self):
+        proc = self.run_optimized(["check", SURELOSS])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == CHECK_SURELOSS

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from credal import (
     solve,
 )
 from credal.lp import EQ, GE, LE
+from conftest import rational
 
 
 def lp(objective, sense, rows, nonneg=None):
@@ -84,6 +86,45 @@ class TestKnownPrograms:
             )
         )
         assert out.status == "optimal" and out.value == Fraction(-1, 20)
+
+    def test_ratio_tie_goes_to_smaller_basic_index(self):
+        # the optimum face is the edge x = 5/2; which end comes back is
+        # decided by a degenerate ratio tie, and the larger index gives (5/2, 1/14)
+        out = solve(
+            lp(
+                (1, 0),
+                "max",
+                [
+                    ((-1, Fraction(-7, 3)), GE, Fraction(-8, 3)),
+                    ((Fraction(-13, 5), -3), LE, Fraction(-27, 5)),
+                    ((1, 0), LE, Fraction(5, 2)),
+                    ((0, 1), LE, Fraction(1, 2)),
+                ],
+            )
+        )
+        assert out.point == (Fraction(5, 2), Fraction(0))
+
+    def test_phase_one_path_with_unequal_row_scales(self):
+        # a feasibility program answers with the vertex phase one ends on;
+        # rows scaled to integers by different lcms (1, 15, 5) must not
+        # change that path: summing the scaled rows unweighted ends at (-2, 8/3)
+        out = solve(
+            lp(
+                (0, 0),
+                "max",
+                [
+                    ((-2, -3), LE, -4),
+                    ((Fraction(4, 3), Fraction(-7, 5)), LE, Fraction(-62, 15)),
+                    ((Fraction(9, 5), -1), LE, Fraction(-13, 5)),
+                    ((1, 0), LE, 0),
+                    ((1, 0), GE, -2),
+                    ((0, 1), LE, 4),
+                    ((0, 1), GE, 0),
+                ],
+                nonneg=(False, False),
+            )
+        )
+        assert out.point == (Fraction(0), Fraction(62, 21))
 
     def test_zero_objective_is_feasibility(self):
         out = solve(lp((0, 0), "max", [((1, 1), EQ, 1)]))
@@ -163,6 +204,95 @@ class TestRandomizedInvariants:
                     sum(c * x for c, x in zip(program.objective, v))
                     for v in vertices
                 )
+
+
+def random_rich_lp(rng):
+    """Reaches the kernel paths that random_bounded_lp does not.
+
+    Coefficients have denominators up to 6, some variables are free and
+    right-hand sides can be negative. Rows run through a hidden anchor,
+    often tightly (ties in the ratio test), and equality rows are repeated
+    as linear combinations of each other, which leaves artificials in the
+    basis after phase one. Zero objectives (feasibility programs, where
+    phase one alone picks the point), objectives parallel to a row and
+    objectives with zero coefficients have many optimal vertices, so the
+    pivot path decides the point.
+    A few rows are violated at the anchor and some programs have no box,
+    so infeasible and unbounded outcomes occur too.
+    """
+    n = rng.randint(1, 4)
+    nonneg = tuple(rng.random() < 0.7 for _ in range(n))
+    anchor = tuple(
+        abs(rational(rng, span=2)) if flag else rational(rng, span=2) for flag in nonneg
+    )
+
+    def through_anchor(coeffs):
+        return sum((c * x for c, x in zip(coeffs, anchor)), Fraction(0))
+
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(
+            rational(rng, span=3) if rng.random() < 0.7 else Fraction(0) for _ in range(n)
+        )
+        kind = rng.choice((LE, GE, EQ))
+        gap = rng.choice((0, 0, abs(rational(rng, span=2))))
+        if rng.random() < 0.1:
+            gap = -1 - gap
+        if kind == LE:
+            rows.append((coeffs, LE, through_anchor(coeffs) + gap))
+        elif kind == GE:
+            rows.append((coeffs, GE, through_anchor(coeffs) - gap))
+        else:
+            rows.append((coeffs, EQ, through_anchor(coeffs)))
+    equalities = [coeffs for coeffs, kind, _ in rows if kind == EQ]
+    for _ in range(rng.randint(0, 2) if equalities else 0):
+        ka, kb = rational(rng, span=2), rational(rng, span=2)
+        a, b = rng.choice(equalities), rng.choice(equalities)
+        coeffs = tuple(ka * x + kb * y for x, y in zip(a, b))
+        rows.append((coeffs, EQ, through_anchor(coeffs)))
+    rng.shuffle(rows)
+    if rng.random() < 0.8:
+        for j in range(n):
+            unit = tuple(Fraction(int(k == j)) for k in range(n))
+            rows.append((unit, LE, anchor[j] + rng.randint(0, 3)))
+            if not nonneg[j]:
+                rows.append((unit, GE, anchor[j] - rng.randint(0, 3)))
+    kind = rng.random()
+    if kind < 0.2:
+        objective = (Fraction(0),) * n
+    elif kind < 0.5:
+        objective = rng.choice(rows)[0]
+    else:
+        objective = tuple(
+            rational(rng, span=3) if rng.random() < 0.6 else Fraction(0) for _ in range(n)
+        )
+    return lp(objective, rng.choice(("max", "min")), rows, nonneg)
+
+
+# sha256 of the outcomes of the 600 programs below, as the Fraction-pivoting
+# kernel computed them before the tableau became integer. A change to any
+# status, value or point, including which of several optimal vertices is
+# returned, changes it.
+RICH_OUTCOMES_SHA256 = "395d54a176eea2bd9a8addfbe3caf66ab87e525a6cd18139fa521a7c86760717"
+
+
+class TestBitIdentity:
+    def test_rich_programs_match_pinned_outcomes(self):
+        rng = random.Random(46)
+        outcomes, statuses = [], set()
+        for _ in range(600):
+            program = random_rich_lp(rng)
+            out = solve(program)
+            outcomes.append(repr((out.status, out.value, out.point)))
+            statuses.add(out.status)
+            if out.is_optimal:
+                assert program.polytope.contains(out.point)
+                assert out.value == sum(
+                    (c * x for c, x in zip(program.objective, out.point)), Fraction(0)
+                )
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == RICH_OUTCOMES_SHA256
 
 
 class TestVertexEnumeration:

@@ -23,7 +23,8 @@ from credal import (
     solve,
     sure_loss_certificate,
 )
-from credal.lp import EQ, GE, LE
+from credal import prevision
+from credal.lp import EQ, GE, LE, UNBOUNDED
 
 from conftest import anchored_model, mass_function, random_gamble, random_space
 
@@ -138,6 +139,27 @@ class TestSureLoss:
         with pytest.raises(SureLossError) as info:
             natural_extension_lower(model, Gamble.constant(coin_space, 0))
         assert info.value.certificate.margin == Fraction(1, 20)
+
+
+class TestSolverFaults:
+    """Invariant breaks become ModelError, also under python -O."""
+
+    def test_non_optimal_outcome(self, coin_model, coin_space, monkeypatch):
+        monkeypatch.setattr(prevision, "solve", lambda lp: UNBOUNDED)
+        with pytest.raises(ModelError, match="unbounded"):
+            natural_extension_lower(coin_model, Gamble.indicator(coin_space, "H"))
+
+    def test_empty_credal_set_without_certificate(self, coin_space, monkeypatch):
+        model = LowerPrevisionModel(
+            coin_space,
+            (
+                Assessment(Gamble.indicator(coin_space, "H"), Fraction(3, 5)),
+                Assessment(Gamble.indicator(coin_space, "T"), Fraction(1, 2)),
+            ),
+        )
+        monkeypatch.setattr(prevision, "sure_loss_certificate", lambda model: None)
+        with pytest.raises(ModelError, match="no sure-loss certificate"):
+            natural_extension_upper(model, Gamble.constant(coin_space, 0))
 
 
 class TestNaturalExtension:
